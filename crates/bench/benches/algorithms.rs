@@ -2,7 +2,7 @@
 //! K-means, ARIMA, Erlang-C/M/G/N, and the CBS-RELAX simplex solve.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use harmony::cbs::{solve_cbs_relax, CbsInputs};
+use harmony::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective};
 use harmony::HarmonyConfig;
 use harmony_forecast::{Arima, Forecaster};
 use harmony_kmeans::{Dataset, KMeans};
@@ -78,7 +78,7 @@ fn bench_cbs_relax(c: &mut Criterion) {
             BenchmarkId::new("solve", format!("N{n_classes}_W{horizon}")),
             |b| {
                 b.iter(|| {
-                    solve_cbs_relax(
+                    solve_cbs_relax_priced(
                         &CbsInputs {
                             catalog: &catalog,
                             container_sizes: &sizes,
@@ -89,6 +89,8 @@ fn bench_cbs_relax(c: &mut Criterion) {
                             now: SimTime::ZERO,
                         },
                         &config,
+                        &CbsObjective::Energy,
+                        None,
                     )
                     .unwrap()
                 })

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use harmony::cbs::{solve_cbs_relax_warm, CbsInputs};
+use harmony::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective};
 use harmony::classify::TaskClassifier;
 use harmony::containers::ContainerManager;
 use harmony::{HarmonyConfig, OnlinePipeline};
@@ -84,7 +84,7 @@ fn lp_experiment(
 ) -> LpResult {
     let solve =
         |demand: &[Vec<f64>], initial: &[f64], now: SimTime, warm: Option<&harmony_lp::Basis>| {
-            solve_cbs_relax_warm(
+            solve_cbs_relax_priced(
                 &CbsInputs {
                     demand,
                     initial_active: initial,
@@ -92,6 +92,7 @@ fn lp_experiment(
                     ..template.clone()
                 },
                 config,
+                &CbsObjective::Energy,
                 warm,
             )
             .expect("benchmark LP must solve")
@@ -205,7 +206,7 @@ fn scaling_experiment(
                 ..config.clone()
             };
             let clock = Instant::now();
-            let result = solve_cbs_relax_warm(&inputs, &cfg, None);
+            let result = solve_cbs_relax_priced(&inputs, &cfg, &CbsObjective::Energy, None);
             (result, clock.elapsed().as_secs_f64())
         };
 
@@ -325,7 +326,7 @@ fn main() {
     for i in 0..lp_ticks {
         let now = SimTime::from_secs(i as f64 * config.control_period.as_secs());
         let demand = demand_at(i, config.horizon, &base);
-        let s = solve_cbs_relax_warm(
+        let s = solve_cbs_relax_priced(
             &CbsInputs {
                 demand: &demand,
                 initial_active: &initial,
@@ -333,6 +334,7 @@ fn main() {
                 ..template.clone()
             },
             &config,
+            &CbsObjective::Energy,
             None,
         )
         .expect("benchmark LP must solve");
@@ -401,12 +403,12 @@ fn main() {
             .map(|i| {
                 let lo = (i * chunk).min(trace.len());
                 let hi = ((i + 1) * chunk).min(trace.len());
-                let tasks = &trace.tasks()[lo..hi];
-                pipeline.tick(tasks, tasks)
+                let input = pipeline.input_from_observations(&trace.tasks()[lo..hi]);
+                pipeline.tick(&input)
             })
             .collect();
         assert_eq!(
-            pipeline.error_count(),
+            pipeline.step().error_count(),
             0,
             "benchmark ticks must not degrade"
         );

@@ -184,25 +184,14 @@ pub struct CbsSolve {
     pub cost: Option<PlanCost>,
 }
 
-/// Solves CBS-RELAX cold.
+/// Solves CBS-RELAX under an explicit [`CbsObjective`], warm-starting
+/// from a previous period's optimal basis when `warm` is supplied.
 ///
-/// Convenience wrapper over [`solve_cbs_relax_warm`] without a basis;
-/// control loops that re-solve every period should prefer the warm
-/// variant and thread [`CbsSolve::basis`] across ticks.
-///
-/// # Errors
-///
-/// * [`HarmonyError::InvalidConfig`] for inconsistent input shapes.
-/// * [`HarmonyError::Optimization`] if the LP solve fails.
-pub fn solve_cbs_relax(
-    inputs: &CbsInputs<'_>,
-    config: &HarmonyConfig,
-) -> Result<CbsPlan, HarmonyError> {
-    Ok(solve_cbs_relax_warm(inputs, config, None)?.plan)
-}
-
-/// Solves CBS-RELAX, warm-starting from a previous period's optimal
-/// basis when one is supplied.
+/// With [`CbsObjective::Dollars`] the coefficient model changes (rental
+/// on `z`, SLO-cost curves as utility) and two accelerator-aware pieces
+/// activate: classes with accelerator demand are only compatible with
+/// machine types that can host them, and accelerator slots get their
+/// own capacity row per type and period.
 ///
 /// Successive MPC ticks build the same LP structure with updated
 /// forecast right-hand sides and price-dependent costs, so the previous
@@ -217,28 +206,6 @@ pub fn solve_cbs_relax(
 /// repair phase could not reach feasibility), and
 /// `lp.warm_start_structural_fallbacks` (basis rejected outright —
 /// dimension mismatch, kept artificial, or singular).
-///
-/// # Errors
-///
-/// * [`HarmonyError::InvalidConfig`] for inconsistent input shapes.
-/// * [`HarmonyError::Optimization`] if the LP solve fails.
-pub fn solve_cbs_relax_warm(
-    inputs: &CbsInputs<'_>,
-    config: &HarmonyConfig,
-    warm: Option<&harmony_lp::Basis>,
-) -> Result<CbsSolve, HarmonyError> {
-    solve_cbs_relax_priced(inputs, config, &CbsObjective::Energy, warm)
-}
-
-/// Solves CBS-RELAX under an explicit [`CbsObjective`].
-///
-/// With [`CbsObjective::Energy`] this is exactly
-/// [`solve_cbs_relax_warm`] — same variables, rows, and coefficients,
-/// bit for bit. With [`CbsObjective::Dollars`] the coefficient model
-/// changes (rental on `z`, SLO-cost curves as utility) and two
-/// accelerator-aware pieces activate: classes with accelerator demand
-/// are only compatible with machine types that can host them, and
-/// accelerator slots get their own capacity row per type and period.
 ///
 /// # Errors
 ///
@@ -605,6 +572,21 @@ mod tests {
     use super::*;
     use harmony_model::SimDuration;
 
+    fn solve_cbs_relax_warm(
+        inputs: &CbsInputs<'_>,
+        config: &HarmonyConfig,
+        warm: Option<&harmony_lp::Basis>,
+    ) -> Result<CbsSolve, HarmonyError> {
+        solve_cbs_relax_priced(inputs, config, &CbsObjective::Energy, warm)
+    }
+
+    fn solve_cbs_relax(
+        inputs: &CbsInputs<'_>,
+        config: &HarmonyConfig,
+    ) -> Result<CbsPlan, HarmonyError> {
+        Ok(solve_cbs_relax_warm(inputs, config, None)?.plan)
+    }
+
     fn config() -> HarmonyConfig {
         HarmonyConfig {
             control_period: SimDuration::from_mins(10.0),
@@ -945,12 +927,13 @@ mod tests {
             price: &EnergyPrice::default(),
             now: SimTime::ZERO,
         };
-        let via_warm = solve_cbs_relax_warm(&inputs, &config(), None).unwrap();
-        let via_priced =
+        let first =
             solve_cbs_relax_priced(&inputs, &config(), &CbsObjective::Energy, None).unwrap();
-        assert_eq!(via_priced.plan, via_warm.plan);
-        assert_eq!(via_priced.pivots, via_warm.pivots);
-        assert!(via_priced.cost.is_none(), "energy solves carry no dollar accounting");
+        let again =
+            solve_cbs_relax_priced(&inputs, &config(), &CbsObjective::Energy, None).unwrap();
+        assert_eq!(again.plan, first.plan);
+        assert_eq!(again.pivots, first.pivots);
+        assert!(first.cost.is_none(), "energy solves carry no dollar accounting");
     }
 
     #[test]

@@ -31,9 +31,10 @@
 //!    [`controllers::BaselineController`] (80% bottleneck utilization,
 //!    energy-greedy machine order) the paper compares against.
 //!
-//! [`pipeline`] wires everything together for the evaluation scenarios;
-//! [`online`] exposes the same loop incrementally for long-running
-//! services (the `harmonyd` provisioning daemon in `crates/server`).
+//! [`control`] holds the one implementation of a control period that
+//! both HARMONY controllers and [`online`] (the `harmonyd` provisioning
+//! daemon's pipeline, in `crates/server`) run; [`pipeline`] wires
+//! everything together for the evaluation scenarios.
 //!
 //! # Examples
 //!
@@ -56,6 +57,7 @@ pub mod cbs;
 pub mod classify;
 pub mod config;
 pub mod containers;
+pub mod control;
 pub mod controllers;
 mod error;
 pub mod monitor;
@@ -67,6 +69,7 @@ mod serde_impls;
 
 pub use cbs::{CbsObjective, DollarCosts, PlanCost};
 pub use config::HarmonyConfig;
+pub use control::{ControlInput, ControlStep};
 // Re-exported so binaries configuring the solver (harmonyd's
 // --lp-backend flag) need not depend on harmony-lp directly.
 pub use harmony_lp::{SolverBackend, WarmOutcome};

@@ -1,13 +1,13 @@
 //! The incremental (online) HARMONY pipeline behind `harmonyd`.
 //!
 //! [`crate::pipeline`] wires the controllers into the discrete-event
-//! simulator for batch replays; this module exposes the same monitor →
-//! forecast → size → CBS-RELAX → round loop as a long-lived object that
-//! is fed one control period of observations at a time — the shape a
-//! real cluster manager (or the provisioning daemon) consumes. Unlike
-//! the simulator controllers it holds no cluster reference: the previous
-//! integer plan stands in for "machines currently active", which is
-//! exactly what the daemon actuated last period.
+//! simulator for batch replays; this module wraps the same
+//! [`ControlStep`] as a long-lived object that is fed one control period
+//! of observations at a time — the shape a real cluster manager (or the
+//! provisioning daemon) consumes. It holds no cluster reference: the
+//! caller supplies each period's [`ControlInput`], so the simulator's
+//! controllers and the daemon run the same period, degradation ladder
+//! included (optimum → last solved plan → greedy → hold).
 //!
 //! The pipeline's mutable state is small and fully serializable
 //! ([`OnlineState`]): arrival histories, the previous plan, the tick
@@ -21,16 +21,15 @@
 
 use std::collections::BTreeMap;
 
-use harmony_model::{EnergyPrice, MachineCatalog, Resources, SimTime, Task, TaskClassId};
-use harmony_sim::{DegradationEvent, DegradationKind};
+use harmony_model::{EnergyPrice, MachineCatalog, SimTime, Task};
+use harmony_sim::{DegradationEvent, TaskView};
 use serde::value::{DeError, Value};
 use serde::{Deserialize, Serialize};
 
-use crate::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective};
+use crate::cbs::CbsObjective;
 use crate::classify::TaskClassifier;
-use crate::containers::ContainerManager;
-use crate::monitor::{ArrivalMonitor, ClassForecast};
-use crate::rounding::{round_first_step, IntegerPlan};
+use crate::control::{ControlInput, ControlStep};
+use crate::rounding::IntegerPlan;
 use crate::{HarmonyConfig, HarmonyError};
 
 /// The serializable mutable state of an [`OnlinePipeline`] — everything
@@ -103,21 +102,8 @@ impl Deserialize for OnlineState {
 pub struct OnlinePipeline {
     classifier: TaskClassifier,
     catalog: MachineCatalog,
-    config: HarmonyConfig,
-    price: EnergyPrice,
-    objective: CbsObjective,
-    manager: ContainerManager,
-    monitor: ArrivalMonitor,
-    last_plan: Option<IntegerPlan>,
-    /// Previous period's optimal simplex basis (warm-starts the next
-    /// CBS-RELAX solve; checkpointed in [`OnlineState`]).
-    lp_basis: Option<harmony_lp::Basis>,
+    step: ControlStep,
     ticks: u64,
-    errors: usize,
-    degradations: Vec<DegradationEvent>,
-    /// Cumulative first-step rental dollars actuated so far (dollar
-    /// objective only; checkpointed in [`OnlineState`]).
-    cost_dollars: f64,
 }
 
 impl OnlinePipeline {
@@ -133,54 +119,16 @@ impl OnlinePipeline {
         config: HarmonyConfig,
         price: EnergyPrice,
     ) -> Result<Self, HarmonyError> {
-        config.validate()?;
-        let manager = ContainerManager::new(&classifier, &config)?;
-        let monitor = ArrivalMonitor::new(
-            classifier.classes().len(),
-            config.control_period,
-            config.history_len,
-            config.arima_min_history,
-        );
-        Ok(OnlinePipeline {
-            classifier,
-            catalog,
-            config,
-            price,
-            objective: CbsObjective::Energy,
-            manager,
-            monitor,
-            last_plan: None,
-            lp_basis: None,
-            ticks: 0,
-            errors: 0,
-            degradations: Vec::new(),
-            cost_dollars: 0.0,
-        })
+        let step = ControlStep::new(&classifier, config, price)?;
+        Ok(OnlinePipeline { classifier, catalog, step, ticks: 0 })
     }
 
     /// Provisions under `objective` instead of the default energy
     /// objective.
     #[must_use]
     pub fn with_objective(mut self, objective: CbsObjective) -> Self {
-        self.objective = objective;
-        self.lp_basis = None;
+        self.step = self.step.with_objective(objective);
         self
-    }
-
-    /// The objective in effect.
-    pub fn objective(&self) -> &CbsObjective {
-        &self.objective
-    }
-
-    /// Cumulative first-step rental dollars actuated so far (0.0 under
-    /// the energy objective).
-    pub fn cost_dollars(&self) -> f64 {
-        self.cost_dollars
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &HarmonyConfig {
-        &self.config
     }
 
     /// The machine catalog provisioned against.
@@ -193,9 +141,10 @@ impl OnlinePipeline {
         &self.classifier
     }
 
-    /// Number of task classes in the pipeline.
-    pub fn n_classes(&self) -> usize {
-        self.manager.n_classes()
+    /// The control step: configuration, objective, spend, last solved
+    /// plan, arrival histories, and degradations not yet drained.
+    pub fn step(&self) -> &ControlStep {
+        &self.step
     }
 
     /// Control ticks completed so far.
@@ -203,177 +152,53 @@ impl OnlinePipeline {
         self.ticks
     }
 
-    /// Ticks that failed the full pipeline and degraded instead.
-    pub fn error_count(&self) -> usize {
-        self.errors
-    }
-
     /// The logical clock: control periods completed × period length.
     pub fn now(&self) -> SimTime {
-        SimTime::from_secs(self.ticks as f64 * self.config.control_period.as_secs())
-    }
-
-    /// The last successfully-solved plan, if any.
-    pub fn last_plan(&self) -> Option<&IntegerPlan> {
-        self.last_plan.as_ref()
-    }
-
-    /// Degradation events accumulated and not yet drained.
-    pub fn pending_degradations(&self) -> &[DegradationEvent] {
-        &self.degradations
+        SimTime::from_secs(self.ticks as f64 * self.step.config().control_period.as_secs())
     }
 
     /// Drains the degradation events accumulated since the last call.
     pub fn take_degradations(&mut self) -> Vec<DegradationEvent> {
-        std::mem::take(&mut self.degradations)
+        self.step.take_degradations()
     }
 
-    /// Per-class tiered forecast from the current histories (does not
-    /// advance the clock or record events).
-    pub fn forecast_tiered(&self, horizon: usize) -> Vec<ClassForecast> {
-        self.monitor.forecast_tiered(horizon)
+    /// The input `harmonyd` feeds each period: the submitted
+    /// observations are both the period's arrivals and its backlog,
+    /// nothing is known to be running, and the last solved plan (zero
+    /// machines before the first) is the switching-cost baseline.
+    pub fn input_from_observations<'a>(&self, observed: &'a [Task]) -> ControlInput<'a> {
+        ControlInput {
+            now: self.now(),
+            arrived: TaskView::dense(observed),
+            pending: TaskView::dense(observed),
+            running: TaskView::default(),
+            active: match self.step.last_plan() {
+                Some(plan) => plan.machines.clone(),
+                None => vec![0; self.catalog.len()],
+            },
+        }
     }
 
-    /// One control period: records `arrived` into the monitor, forecasts
-    /// over the MPC horizon, sizes containers, solves CBS-RELAX, and
-    /// rounds to an [`IntegerPlan`]. `pending` is the unserved backlog
-    /// that must be provisioned for immediately, on top of the forecast.
-    ///
-    /// Never fails: on a pipeline error the degradation ladder re-actuates
-    /// the previous plan ([`DegradationKind::LpReusedPreviousPlan`]) or,
-    /// lacking one, holds at zero capacity
-    /// ([`DegradationKind::ControlHold`]), recording the event either way.
-    pub fn tick(&mut self, arrived: &[Task], pending: &[Task]) -> IntegerPlan {
-        let registry = harmony_telemetry::global();
-        registry.counter("pipeline.ticks").inc();
-        let _period_span = registry.timer("pipeline.period_seconds");
-        let now = self.now();
-        let span = registry.timer("pipeline.classify_seconds");
-        self.monitor.record_period(arrived, &self.classifier);
-        drop(span);
-        let plan = match self.step(now, pending) {
-            Ok(plan) => {
-                self.last_plan = Some(plan.clone());
-                plan
-            }
-            Err(err) => {
-                self.errors += 1;
-                // Force the next tick's solve cold: the basis may be
-                // stale relative to whatever just failed.
-                self.lp_basis = None;
-                registry.counter("pipeline.errors").inc();
-                if let Some(prev) = self.last_plan.clone() {
-                    self.degrade(now, DegradationKind::LpReusedPreviousPlan, &err);
-                    prev
-                } else {
-                    self.degrade(now, DegradationKind::ControlHold, &err);
-                    IntegerPlan {
-                        machines: vec![0; self.catalog.len()],
-                        quotas: vec![vec![0; self.n_classes()]; self.catalog.len()],
-                    }
-                }
-            }
-        };
+    /// One control period of [`ControlStep::decide`] against this
+    /// pipeline's classifier and catalog. Returns the plan to actuate,
+    /// or `None` when the period holds capacity (the ladder's last
+    /// rung); either way the period counts as a tick.
+    pub fn tick(&mut self, input: &ControlInput<'_>) -> Option<IntegerPlan> {
+        let plan = self.step.decide(&self.classifier, &self.catalog, input);
         self.ticks += 1;
         plan
-    }
-
-    fn degrade(&mut self, at: SimTime, kind: DegradationKind, err: &HarmonyError) {
-        self.degradations.push(DegradationEvent { at, kind, detail: err.to_string() });
-    }
-
-    /// The full pipeline for one period (fallible half of
-    /// [`OnlinePipeline::tick`]).
-    fn step(&mut self, now: SimTime, pending: &[Task]) -> Result<IntegerPlan, HarmonyError> {
-        let registry = harmony_telemetry::global();
-        let n_classes = self.n_classes();
-        // Per-class forecast and sizing fan out over scoped workers;
-        // plans stay bit-identical for any worker count.
-        let workers = crate::par::effective_workers(self.config.pipeline_workers, n_classes);
-        registry.gauge("pipeline.workers").set(workers as f64);
-        let span = registry.timer("pipeline.forecast_seconds");
-        let tiered = self.monitor.forecast_tiered_with_workers(self.config.horizon, workers);
-        drop(span);
-        for (n, class_fc) in tiered.iter().enumerate() {
-            if let Some(reason) = &class_fc.degraded {
-                self.degradations.push(DegradationEvent {
-                    at: now,
-                    kind: DegradationKind::ForecastFallback { class: n, tier: class_fc.tier },
-                    detail: reason.clone(),
-                });
-            }
-        }
-
-        let sizing_span = registry.timer("pipeline.sizing_seconds");
-        let mut backlog = vec![0.0f64; n_classes];
-        for task in pending {
-            backlog[self.classifier.initial_label(task).0] += 1.0;
-        }
-
-        let rates: Vec<Vec<f64>> = tiered.into_iter().map(|c| c.rates).collect();
-        let counts = self.manager.containers_for_rates(&rates, workers)?;
-        let mut demand = vec![vec![0.0f64; n_classes]; self.config.horizon];
-        for n in 0..n_classes {
-            for (t, row) in demand.iter_mut().enumerate() {
-                row[n] = counts[n][t] + backlog[n];
-            }
-        }
-        drop(sizing_span);
-
-        let container_sizes: Vec<Resources> =
-            (0..n_classes).map(|n| self.manager.container_size(TaskClassId(n))).collect();
-        let utility: Vec<f64> = self
-            .classifier
-            .classes()
-            .iter()
-            .map(|c| self.config.utility_for(c.group))
-            .collect();
-        // The previous plan is what the daemon actuated last period, so
-        // it is the switching-cost baseline for this solve.
-        let initial: Vec<f64> = match &self.last_plan {
-            Some(plan) => plan.machines.iter().map(|&m| m as f64).collect(),
-            None => vec![0.0; self.catalog.len()],
-        };
-        let lp_span = registry.timer("pipeline.lp_seconds");
-        let solve = solve_cbs_relax_priced(
-            &CbsInputs {
-                catalog: &self.catalog,
-                container_sizes: &container_sizes,
-                utility_per_hour: &utility,
-                demand: &demand,
-                initial_active: &initial,
-                price: &self.price,
-                now,
-            },
-            &self.config,
-            &self.objective,
-            self.lp_basis.as_ref(),
-        )?;
-        drop(lp_span);
-        // Carry the optimal basis into the next tick's solve.
-        self.lp_basis = Some(solve.basis);
-        if let Some(cost) = &solve.cost {
-            // The first step is what the daemon actuates, so that is the
-            // slice that accrues into the running spend.
-            self.cost_dollars += cost.first_step_rental_dollars;
-            registry.gauge("cost.cumulative_dollars").set(self.cost_dollars);
-        }
-        let plan = solve.plan;
-        Ok(registry.time("pipeline.rounding_seconds", || {
-            round_first_step(&plan, &self.catalog, &container_sizes)
-        }))
     }
 
     /// Snapshots the pipeline's mutable state for a checkpoint.
     pub fn state(&self) -> OnlineState {
         OnlineState {
             ticks: self.ticks,
-            errors: self.errors,
-            histories: self.monitor.histories().to_vec(),
-            last_plan: self.last_plan.clone(),
-            pending_events: self.degradations.clone(),
-            lp_basis: self.lp_basis.clone(),
-            cost_dollars: self.cost_dollars,
+            errors: self.step.error_count(),
+            histories: self.step.monitor().histories().to_vec(),
+            last_plan: self.step.last_plan().cloned(),
+            pending_events: self.step.pending_degradations().to_vec(),
+            lp_basis: self.step.lp_basis().cloned(),
+            cost_dollars: self.step.cost_dollars(),
         }
     }
 
@@ -397,20 +222,16 @@ impl OnlinePipeline {
                 });
             }
             if plan.quotas.len() != self.catalog.len()
-                || plan.quotas.iter().any(|q| q.len() != self.n_classes())
+                || plan.quotas.iter().any(|q| q.len() != self.step.n_classes())
             {
                 return Err(HarmonyError::InvalidConfig {
                     reason: "checkpoint plan quota dimensions do not match".into(),
                 });
             }
         }
-        self.monitor.restore_histories(state.histories)?;
-        self.ticks = state.ticks;
-        self.errors = state.errors;
-        self.last_plan = state.last_plan;
-        self.degradations = state.pending_events;
-        self.lp_basis = state.lp_basis;
-        self.cost_dollars = state.cost_dollars;
+        let ticks = state.ticks;
+        self.step.restore(state)?;
+        self.ticks = ticks;
         Ok(())
     }
 }
@@ -419,10 +240,15 @@ impl OnlinePipeline {
 mod tests {
     use super::*;
     use crate::classify::ClassifierConfig;
+    use harmony_sim::DegradationKind;
     use harmony_model::SimDuration;
     use harmony_trace::{TraceConfig, TraceGenerator};
 
     fn fixture() -> (OnlinePipeline, harmony_trace::Trace) {
+        fixture_with(20_000)
+    }
+
+    fn fixture_with(max_lp_pivots: usize) -> (OnlinePipeline, harmony_trace::Trace) {
         let trace = TraceGenerator::new(TraceConfig::small().with_seed(33)).generate();
         let classifier = TaskClassifier::fit(
             trace.tasks(),
@@ -432,6 +258,7 @@ mod tests {
         let config = HarmonyConfig {
             horizon: 2,
             control_period: SimDuration::from_mins(10.0),
+            max_lp_pivots,
             ..Default::default()
         };
         let pipeline = OnlinePipeline::new(
@@ -444,14 +271,19 @@ mod tests {
         (pipeline, trace)
     }
 
+    /// One period fed the way `harmonyd` feeds it.
+    fn tick(pipeline: &mut OnlinePipeline, observed: &[Task]) -> IntegerPlan {
+        let input = pipeline.input_from_observations(observed);
+        pipeline.tick(&input).expect("a period with a placeable backlog actuates a plan")
+    }
+
     /// Feed the trace in fixed-size chunks, collecting each tick's plan.
     fn drive(pipeline: &mut OnlinePipeline, trace: &harmony_trace::Trace, chunks: usize) -> Vec<IntegerPlan> {
         (0..chunks)
             .map(|i| {
                 let lo = (i * 150).min(trace.len());
                 let hi = ((i + 1) * 150).min(trace.len());
-                let chunk = &trace.tasks()[lo..hi];
-                pipeline.tick(chunk, chunk)
+                tick(pipeline, &trace.tasks()[lo..hi])
             })
             .collect()
     }
@@ -463,10 +295,10 @@ mod tests {
         let plans = drive(&mut pipeline, &trace, 3);
         assert_eq!(pipeline.ticks(), 3);
         assert_eq!(pipeline.now(), SimTime::from_secs(3.0 * 600.0));
-        assert_eq!(pipeline.error_count(), 0);
+        assert_eq!(pipeline.step().error_count(), 0);
         let total: usize = plans[0].machines.iter().sum();
         assert!(total > 0, "arrivals must bring machines up: {plans:?}");
-        assert!(pipeline.last_plan().is_some());
+        assert!(pipeline.step().last_plan().is_some());
     }
 
     #[test]
@@ -476,7 +308,7 @@ mod tests {
         // Enough empty periods to flush the moving-average window (6).
         let mut last_total = usize::MAX;
         for _ in 0..8 {
-            let plan = pipeline.tick(&[], &[]);
+            let plan = tick(&mut pipeline, &[]);
             last_total = plan.machines.iter().sum();
         }
         assert!(last_total <= 2, "idle pipeline should power down, got {last_total}");
@@ -501,22 +333,22 @@ mod tests {
         for i in 3..6 {
             let lo = (i * 150).min(trace.len());
             let hi = ((i + 1) * 150).min(trace.len());
-            let chunk = &trace.tasks()[lo..hi];
-            prefix.push(second_half.tick(chunk, chunk));
+            prefix.push(tick(&mut second_half, &trace.tasks()[lo..hi]));
         }
         assert_eq!(prefix, full, "restored pipeline must reproduce the plan sequence");
     }
 
     #[test]
     fn failure_without_previous_plan_holds_at_zero() {
-        let (mut pipeline, trace) = fixture();
-        pipeline.config.max_lp_pivots = 1;
-        let chunk = &trace.tasks()[..150];
-        let plan = pipeline.tick(chunk, chunk);
-        assert_eq!(plan.machines.iter().sum::<usize>(), 0);
-        assert_eq!(pipeline.error_count(), 1);
+        // A failed first solve takes the greedy rung rather than holding
+        // the daemon at zero capacity.
+        let (mut pipeline, trace) = fixture_with(1);
+        let plan = tick(&mut pipeline, &trace.tasks()[..150]);
+        assert!(plan.machines.iter().sum::<usize>() > 0, "greedy serves the backlog");
+        assert_eq!(pipeline.step().error_count(), 1);
+        assert!(pipeline.step().last_plan().is_none(), "a greedy plan is not a solved plan");
         let events = pipeline.take_degradations();
-        assert!(events.iter().any(|d| matches!(d.kind, DegradationKind::ControlHold)));
+        assert!(events.iter().any(|d| matches!(d.kind, DegradationKind::LpGreedyFallback)));
         assert!(pipeline.take_degradations().is_empty());
     }
 
@@ -524,9 +356,9 @@ mod tests {
     fn failure_with_previous_plan_reuses_it() {
         let (mut pipeline, trace) = fixture();
         let chunk = &trace.tasks()[..150];
-        let first = pipeline.tick(chunk, chunk);
-        pipeline.config.max_lp_pivots = 1;
-        let second = pipeline.tick(chunk, chunk);
+        let first = tick(&mut pipeline, chunk);
+        pipeline.step.cripple_solver();
+        let second = tick(&mut pipeline, chunk);
         assert_eq!(second, first, "reused plan re-actuates");
         let events = pipeline.take_degradations();
         assert!(events
@@ -540,7 +372,7 @@ mod tests {
         let bad = OnlineState {
             ticks: 1,
             errors: 0,
-            histories: vec![Vec::new(); pipeline.n_classes()],
+            histories: vec![Vec::new(); pipeline.step().n_classes()],
             last_plan: Some(IntegerPlan { machines: vec![1], quotas: vec![vec![0]] }),
             pending_events: Vec::new(),
             lp_basis: None,
@@ -606,15 +438,15 @@ mod tests {
         let (base, _) = fixture();
         let mut priced = base.with_objective(CbsObjective::Dollars(costs));
         drive(&mut priced, &trace, 3);
-        assert_eq!(priced.error_count(), 0);
+        assert_eq!(priced.step().error_count(), 0);
         assert!(
-            priced.cost_dollars() > 0.0,
+            priced.step().cost_dollars() > 0.0,
             "a served workload must accrue rental spend, got {}",
-            priced.cost_dollars()
+            priced.step().cost_dollars()
         );
         // The spend survives a checkpoint/restore round trip.
         let state = priced.state();
-        assert_eq!(state.cost_dollars, priced.cost_dollars());
+        assert_eq!(state.cost_dollars, priced.step().cost_dollars());
         let text = serde_json::to_string(&state).unwrap();
         let back: OnlineState = serde_json::from_str(&text).unwrap();
         assert_eq!(back, state);
@@ -628,7 +460,7 @@ mod tests {
             ),
         ));
         restored.restore(back).unwrap();
-        assert_eq!(restored.cost_dollars(), priced.cost_dollars());
+        assert_eq!(restored.step().cost_dollars(), priced.step().cost_dollars());
     }
 
     #[test]

@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use harmony::classify::ClassifierConfig;
+use harmony::rounding::IntegerPlan;
 use harmony::OnlinePipeline;
 use harmony_model::Task;
 
@@ -205,20 +206,21 @@ impl Service {
         self.snapshot_path.as_ref()
     }
 
-    /// Runs one control period over the buffered observations (they act
-    /// as both the period's arrivals and its pending backlog), clears
-    /// the buffer, and returns the actuated plan via the tick counter.
-    pub fn tick_once(&mut self) -> u64 {
+    /// Runs one control period over the buffered observations (see
+    /// [`OnlinePipeline::input_from_observations`]), clears the buffer,
+    /// and returns the plan the period actuated — `None` when it held
+    /// capacity.
+    pub fn tick_once(&mut self) -> Option<IntegerPlan> {
         let tasks = std::mem::take(&mut self.buffered);
-        let _ = self.pipeline.tick(&tasks, &tasks);
-        self.pipeline.ticks()
+        let input = self.pipeline.input_from_observations(&tasks);
+        self.pipeline.tick(&input)
     }
 
     /// Snapshot of everything a restart needs.
     pub fn checkpoint(&self) -> Checkpoint {
         Checkpoint {
             version: CHECKPOINT_VERSION,
-            config: self.pipeline.config().clone(),
+            config: self.pipeline.step().config().clone(),
             classifier: self.classifier_config.clone(),
             source: self.source.clone(),
             catalog: self.catalog_spec.clone(),
@@ -284,14 +286,14 @@ impl Service {
         StatusBody {
             ticks: self.pipeline.ticks(),
             now_secs: self.pipeline.now().as_secs(),
-            errors: self.pipeline.error_count(),
+            errors: self.pipeline.step().error_count(),
             buffered: self.buffered.len(),
             total_observations: self.total_observations,
-            n_classes: self.pipeline.n_classes(),
+            n_classes: self.pipeline.step().n_classes(),
             machine_types: self.pipeline.catalog().len(),
             total_machines: self.pipeline.catalog().total_machines(),
-            pending_events: self.pipeline.pending_degradations().len(),
-            has_plan: self.pipeline.last_plan().is_some(),
+            pending_events: self.pipeline.step().pending_degradations().len(),
+            has_plan: self.pipeline.step().last_plan().is_some(),
             snapshot_path: self
                 .snapshot_path
                 .as_ref()
@@ -322,16 +324,30 @@ impl Service {
             Request::GetPlan => (
                 Response::Plan {
                     tick: self.pipeline.ticks(),
-                    plan: self.pipeline.last_plan().cloned(),
+                    plan: self.pipeline.step().last_plan().cloned(),
                 },
                 None,
             ),
             Request::GetForecast { horizon } => {
-                let horizon = horizon.unwrap_or(self.pipeline.config().horizon).max(1);
+                let horizon = horizon.unwrap_or(self.pipeline.step().config().horizon).max(1);
+                // Forecasting allocates per class per step, so an
+                // unbounded horizon is an allocation a client controls.
+                // The configured MPC horizon is forecast every tick
+                // anyway, so it is always allowed.
+                let config = self.pipeline.step().config();
+                let limit = config.history_len.max(config.horizon);
+                if horizon > limit {
+                    return (
+                        Response::bad_request(format!(
+                            "forecast horizon {horizon} exceeds the limit {limit}"
+                        )),
+                        None,
+                    );
+                }
                 (
                     Response::Forecast {
                         horizon,
-                        classes: self.pipeline.forecast_tiered(horizon),
+                        classes: self.pipeline.step().monitor().forecast_tiered(horizon),
                     },
                     None,
                 )
@@ -345,13 +361,11 @@ impl Service {
                 None,
             ),
             Request::Tick => {
-                let tick = self.tick_once();
-                let save = self.pending_checkpoint();
-                let response = match self.pipeline.last_plan().cloned() {
-                    Some(plan) => Response::Ticked { tick, plan },
-                    None => Response::internal("tick produced no plan"),
+                let response = match self.tick_once() {
+                    Some(plan) => Response::Ticked { tick: self.pipeline.ticks(), plan },
+                    None => Response::internal("tick held capacity: no plan was actuated"),
                 };
-                (response, save)
+                (response, self.pending_checkpoint())
             }
             Request::DrainEvents => (
                 Response::Events {
@@ -403,11 +417,17 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::ErrorKind;
     use harmony::classify::{ClassifierConfig, TaskClassifier};
     use harmony::HarmonyConfig;
     use harmony_model::{MachineCatalog, SimDuration};
+    use harmony_sim::DegradationKind;
 
     fn test_service(snapshot: Option<PathBuf>) -> (Service, Vec<Task>) {
+        test_service_with(snapshot, HarmonyConfig::default().max_lp_pivots)
+    }
+
+    fn test_service_with(snapshot: Option<PathBuf>, max_lp_pivots: usize) -> (Service, Vec<Task>) {
         // Build from the same source description a resume would refit
         // from, so checkpoint round-trips are exact.
         let span = SimDuration::from_hours(2.0);
@@ -421,6 +441,7 @@ mod tests {
         let config = HarmonyConfig {
             horizon: 2,
             control_period: SimDuration::from_mins(10.0),
+            max_lp_pivots,
             ..HarmonyConfig::default()
         };
         let pipeline = OnlinePipeline::new(
@@ -522,6 +543,45 @@ mod tests {
     }
 
     #[test]
+    fn oversized_forecast_horizon_is_rejected() {
+        let (mut service, _) = test_service(None);
+        let huge = Request::GetForecast { horizon: Some(1_000_000_000_000_000) };
+        match service.handle(huge) {
+            Response::Error { kind: ErrorKind::BadRequest, message } => {
+                assert!(message.contains("horizon"), "{message}");
+            }
+            other => panic!("expected bad-request, got {other:?}"),
+        }
+        // The service survives and keeps answering.
+        assert!(matches!(service.handle(Request::Status), Response::Status(_)));
+        let limit = service.pipeline().step().config().history_len;
+        let ok = service.handle(Request::GetForecast { horizon: Some(limit) });
+        assert!(matches!(ok, Response::Forecast { horizon, .. } if horizon == limit));
+    }
+
+    #[test]
+    fn failed_first_tick_answers_with_the_greedy_plan() {
+        // A one-pivot budget fails every real solve: with no previous
+        // plan, the tick takes the greedy rung and answers with it.
+        let (mut service, tasks) = test_service_with(None, 1);
+        service.handle(Request::SubmitObservations { tasks });
+        match service.handle(Request::Tick) {
+            Response::Ticked { tick, plan } => {
+                assert_eq!(tick, 1);
+                assert!(plan.machines.iter().sum::<usize>() > 0, "greedy serves the backlog");
+            }
+            other => panic!("expected Ticked, got {other:?}"),
+        }
+        match service.handle(Request::DrainEvents) {
+            Response::Events { events } => assert!(
+                events.iter().any(|d| matches!(d.kind, DegradationKind::LpGreedyFallback)),
+                "{events:?}"
+            ),
+            other => panic!("expected Events, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn snapshot_without_path_is_an_error() {
         let (mut service, _) = test_service(None);
         assert!(matches!(service.handle(Request::Snapshot), Response::Error { .. }));
@@ -566,7 +626,7 @@ mod tests {
             service.handle(Request::SubmitObservations { tasks: chunk.to_vec() });
             service.handle(Request::Tick);
         }
-        let spent = service.pipeline().cost_dollars();
+        let spent = service.pipeline().step().cost_dollars();
         assert!(spent > 0.0, "dollar ticks must accrue rental spend");
         assert!(matches!(service.handle(Request::Snapshot), Response::Snapshotted { .. }));
         drop(service);
@@ -575,12 +635,12 @@ mod tests {
         assert_eq!(checkpoint.objective, ObjectiveSpec::Dollars { spot: true, seed: 2013 });
         let resumed = Service::from_checkpoint(checkpoint, Some(path)).unwrap();
         assert_eq!(
-            resumed.pipeline().cost_dollars(),
+            resumed.pipeline().step().cost_dollars(),
             spent,
             "resume must restore the cumulative spend exactly"
         );
         assert!(
-            matches!(resumed.pipeline().objective(), harmony::CbsObjective::Dollars(_)),
+            matches!(resumed.pipeline().step().objective(), harmony::CbsObjective::Dollars(_)),
             "resume must rebuild the dollar objective from its recipe"
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -601,14 +661,14 @@ mod tests {
         for chunk in &chunks {
             uninterrupted.handle(Request::SubmitObservations { tasks: chunk.clone() });
             uninterrupted.handle(Request::Tick);
-            expected.push(uninterrupted.pipeline().last_plan().cloned());
+            expected.push(uninterrupted.pipeline().step().last_plan().cloned());
         }
 
         let mut actual = Vec::new();
         for chunk in &chunks[..2] {
             original.handle(Request::SubmitObservations { tasks: chunk.clone() });
             original.handle(Request::Tick);
-            actual.push(original.pipeline().last_plan().cloned());
+            actual.push(original.pipeline().step().last_plan().cloned());
         }
         assert!(matches!(original.handle(Request::Snapshot), Response::Snapshotted { .. }));
         drop(original);
@@ -619,7 +679,7 @@ mod tests {
         for chunk in &chunks[2..] {
             resumed.handle(Request::SubmitObservations { tasks: chunk.clone() });
             resumed.handle(Request::Tick);
-            actual.push(resumed.pipeline().last_plan().cloned());
+            actual.push(resumed.pipeline().step().last_plan().cloned());
         }
         assert_eq!(actual, expected, "resume must reproduce the plan sequence");
         std::fs::remove_dir_all(&dir).unwrap();

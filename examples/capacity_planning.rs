@@ -8,7 +8,7 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
-use harmony::cbs::{solve_cbs_relax, CbsInputs};
+use harmony::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective};
 use harmony::HarmonyConfig;
 use harmony_model::{EnergyPrice, MachineCatalog, Resources, SimTime};
 use harmony_queueing::{ContainerSizer, MgnQueue};
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 3: one CBS-RELAX solve over a 4-period horizon.
     let utility: Vec<f64> = classes.iter().map(|c| c.utility_per_hour).collect();
     let demand = vec![counts.clone(); config.horizon];
-    let plan = solve_cbs_relax(
+    let plan = solve_cbs_relax_priced(
         &CbsInputs {
             catalog: &catalog,
             container_sizes: &sizes,
@@ -97,7 +97,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             now: SimTime::ZERO,
         },
         &config,
-    )?;
+        &CbsObjective::Energy,
+        None,
+    )?
+    .plan;
 
     println!("\nmachine plan (first period):");
     for (m, ty) in catalog.iter().enumerate() {

@@ -1,11 +1,18 @@
 //! Invariants of the CBS-RELAX plan and its rounding, across random
 //! demand scenarios.
 
-use harmony::cbs::{solve_cbs_relax, CbsInputs};
+use harmony::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective, CbsPlan};
 use harmony::rounding::{lemma1_holds, round_first_step};
 use harmony::HarmonyConfig;
 use harmony_model::{EnergyPrice, MachineCatalog, MachineTypeId, Resources, SimDuration, SimTime};
 use proptest::prelude::*;
+
+fn solve_cbs_relax(
+    inputs: &CbsInputs<'_>,
+    config: &HarmonyConfig,
+) -> Result<CbsPlan, harmony::HarmonyError> {
+    Ok(solve_cbs_relax_priced(inputs, config, &CbsObjective::Energy, None)?.plan)
+}
 
 fn config(horizon: usize, omega: f64) -> HarmonyConfig {
     HarmonyConfig {

@@ -5,12 +5,20 @@
 //! agree on CBS-shaped instances — the workload the solver exists for —
 //! warm and cold, to 1e-6 relative.
 
-use harmony::cbs::{solve_cbs_relax_warm, CbsInputs};
+use harmony::cbs::{solve_cbs_relax_priced, CbsInputs, CbsObjective, CbsSolve};
 use harmony::online::OnlineState;
 use harmony::{HarmonyConfig, SolverBackend, WarmOutcome};
 use harmony_model::{EnergyPrice, MachineCatalog, Resources, SimDuration, SimTime};
 use proptest::prelude::*;
 use proptest::TestCaseError;
+
+fn solve_cbs_relax_warm(
+    inputs: &CbsInputs<'_>,
+    config: &HarmonyConfig,
+    warm: Option<&harmony_lp::Basis>,
+) -> Result<CbsSolve, harmony::HarmonyError> {
+    solve_cbs_relax_priced(inputs, config, &CbsObjective::Energy, warm)
+}
 
 const REL_TOL: f64 = 1e-6;
 
